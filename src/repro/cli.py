@@ -41,7 +41,11 @@ from repro.datasets.taxonomy_kpi import build_taxonomy_kpi
 from repro.eval import evaluate_extractions, render_table
 from repro.models.training import FineTuneConfig
 from repro.runtime.errors import InputError, ReproError, RunInterrupted
-from repro.runtime.resilience import MAX_BLOCK_CHARS, RetryPolicy, run_stage
+from repro.runtime.resilience import (
+    MAX_BLOCK_CHARS,
+    RetryPolicy,
+    resilient_rows,
+)
 
 #: Exit codes of ``repro extract`` / ``repro train`` (see DESIGN.md
 #: "Failure model"): 0 = success (possibly partial, with a warning on
@@ -321,43 +325,31 @@ def _extract_resilient(
     policy: RetryPolicy,
     workers: int | str | None = 1,
 ) -> list[tuple[dict[str, str], str]]:
-    """Batch-extract with per-text fault isolation.
+    """Batch-extract through the :func:`resilient_rows` ladder.
 
-    Mirrors the pipeline runtime: one optimistic batched call (sharded
-    over worker processes when ``workers`` > 1 — bitwise-identical
-    results either way); if it raises and the policy is not ``"raise"``,
-    fall back to sequential per-text calls where each failure is skipped
-    or degraded to empty details.
+    The optimistic batched call is sharded over worker processes when
+    ``workers`` > 1 (bitwise-identical results either way). Degraded
+    texts report status ``"failed"`` on this surface.
     """
     from repro.runtime.parallel import extract_batch_parallel, resolve_workers
 
-    def batch() -> list[dict[str, str]]:
-        if resolve_workers(workers) > 1 and len(texts) > 1:
-            return extract_batch_parallel(extractor, texts, workers=workers)
-        return extractor.extract_batch(texts)
+    def batch(items: list[str]) -> list[dict[str, str]]:
+        if resolve_workers(workers) > 1 and len(items) > 1:
+            return extract_batch_parallel(extractor, items, workers=workers)
+        return extractor.extract_batch(items)
 
-    try:
-        details_list = run_stage(batch, stage="extract", policy=policy)
-        return [(details, "ok") for details in details_list]
-    except ReproError:
-        if on_error == "raise":
-            raise
-    empty = {field: "" for field in extractor.config.fields}
-    results: list[tuple[dict[str, str], str]] = []
-    for text in texts:
-        try:
-            details = run_stage(
-                lambda t=text: extractor.extract(t),
-                stage="extract",
-                policy=policy,
-            )
-            results.append((details, "ok"))
-        except ReproError:
-            if on_error == "skip":
-                results.append((dict(empty), "skipped"))
-            else:
-                results.append((dict(empty), "failed"))
-    return results
+    pairs = resilient_rows(
+        batch,
+        texts,
+        on_error=on_error,
+        fields=extractor.config.fields,
+        stage="extract",
+        policy=policy,
+    )
+    return [
+        (row, "failed" if status == "degraded" else status)
+        for row, status in pairs
+    ]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

@@ -10,8 +10,6 @@ predict piece labels → fold to word labels → decode spans → field values.
 from __future__ import annotations
 
 import dataclasses
-import json
-import shutil
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -39,13 +37,12 @@ from repro.models.token_classifier import TokenClassifier
 from repro.models.training import FineTuneConfig, fit_token_classifier
 from repro.models.zoo import get_model_spec
 from repro.nn.encoder import TransformerEncoder
-from repro.nn.serialize import load_state, save_state
+from repro.nn.serialize import load_state
 from repro.runtime.checkpoint import (
     CheckpointManager,
     read_json,
-    replace_dir,
+    save_model_dir,
     verify_manifest,
-    write_manifest,
 )
 from repro.runtime.errors import ArtifactError, QuantizationError
 from repro.runtime.profiling import PerfCounters, RunStats
@@ -563,29 +560,7 @@ class WeakSupervisionExtractor(DetailExtractor):
         """
         if self.model is None or self.tokenizer is None:
             raise RuntimeError("cannot save an unfitted extractor")
-        if self.fault_injector is not None:
-            self.fault_injector.check("save")
-        directory = Path(directory)
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        tmp = directory.with_name(directory.name + ".tmp")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        payload = dataclasses.asdict(self.config)
-        payload["finetune"] = dataclasses.asdict(self.config.finetune)
-        (tmp / "config.json").write_text(
-            json.dumps(payload), encoding="utf-8"
-        )
-        self.tokenizer.save(tmp / "tokenizer.json")
-        save_state(self.model, tmp / "model.npz")
-        write_manifest(
-            tmp,
-            ["config.json", "tokenizer.json", "model.npz"],
-            kind="weak_supervision_extractor",
-        )
-        if self.fault_injector is not None:
-            self.fault_injector.check("save_commit")
-        replace_dir(tmp, directory)
+        save_model_dir(directory, self, kind="weak_supervision_extractor")
 
     @classmethod
     def load(cls, directory: str | Path) -> "WeakSupervisionExtractor":

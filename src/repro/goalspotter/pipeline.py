@@ -290,7 +290,7 @@ class GoalSpotter:
         run_dir,
         *,
         on_error: str | None = None,
-        workers: int = 1,
+        workers: int | str | None = 1,
         resume: bool = True,
         segment_items: int = 4,
         **kwargs,

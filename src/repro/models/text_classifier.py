@@ -13,8 +13,6 @@ labels, with the extractor's save/load and fault-injection surfaces.
 from __future__ import annotations
 
 import dataclasses
-import json
-import shutil
 import threading
 from collections.abc import Sequence
 from pathlib import Path
@@ -24,13 +22,12 @@ import numpy as np
 from repro.models.sequence_classifier import SequenceClassifier
 from repro.models.training import FineTuneConfig, fit_sequence_classifier
 from repro.nn.encoder import EncoderConfig
-from repro.nn.serialize import load_state, save_state
+from repro.nn.serialize import load_state
 from repro.runtime.checkpoint import (
     CheckpointManager,
     read_json,
-    replace_dir,
+    save_model_dir,
     verify_manifest,
-    write_manifest,
 )
 from repro.runtime.errors import ArtifactError
 from repro.runtime.profiling import PerfCounters, RunStats
@@ -300,29 +297,7 @@ class TextLabelClassifier:
         """
         if self.model is None or self.tokenizer is None:
             raise RuntimeError("cannot save an unfitted classifier")
-        if self.fault_injector is not None:
-            self.fault_injector.check("save")
-        directory = Path(directory)
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        tmp = directory.with_name(directory.name + ".tmp")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        payload = dataclasses.asdict(self.config)
-        payload["finetune"] = dataclasses.asdict(self.config.finetune)
-        (tmp / "config.json").write_text(
-            json.dumps(payload), encoding="utf-8"
-        )
-        self.tokenizer.save(tmp / "tokenizer.json")
-        save_state(self.model, tmp / "model.npz")
-        write_manifest(
-            tmp,
-            ["config.json", "tokenizer.json", "model.npz"],
-            kind=MANIFEST_KIND,
-        )
-        if self.fault_injector is not None:
-            self.fault_injector.check("save_commit")
-        replace_dir(tmp, directory)
+        save_model_dir(directory, self, kind=MANIFEST_KIND)
 
     @classmethod
     def load(cls, directory: str | Path) -> "TextLabelClassifier":

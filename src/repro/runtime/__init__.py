@@ -14,9 +14,11 @@ path fast, fault-tolerant, and measurable:
   and a deterministic fault injector for the chaos suite;
 * :mod:`repro.runtime.profiling` — perf counters, timers, tokens/sec,
   padding-waste, cache-hit-rate, and failure/retry/degradation reporting;
-* :mod:`repro.runtime.parallel` — data-parallel sharded corpus execution
-  across worker processes (one-shot model broadcast, balanced contiguous
-  shards, merged stats/quarantine; bitwise-identical to sequential);
+* :mod:`repro.runtime.parallel` — the one segment executor behind every
+  corpus run: balanced contiguous segments, a one-shot model broadcast,
+  per-segment state reset, a ``WorkerPool`` of restored hosts, and the
+  data-parallel entry points with merged stats/quarantine
+  (bitwise-identical to sequential);
 * :mod:`repro.runtime.checkpoint` — durable training: atomic, checksummed,
   bitwise-resumable checkpoints with manifests, a last-good pointer, and
   corruption rollback (typed ``ArtifactError`` on every load surface);
@@ -28,10 +30,11 @@ path fast, fault-tolerant, and measurable:
   inference: manifest-bound, checksummed JSONL WAL with fsync'd atomic
   segment commits and exactly-once resume (resumed output is
   bitwise-identical to an uninterrupted run);
-* :mod:`repro.runtime.supervisor` — lease-based worker supervision over
-  journaled runs: hung-worker reaping with re-grant, a global run
-  deadline, and SIGINT/SIGTERM graceful drain; plus the durable run
-  drivers (``run_durable_rows``, ``run_durable_reports``);
+* :mod:`repro.runtime.supervisor` — lease-based supervision of the
+  ``WorkerPool`` for journaled runs: hung-worker reaping with re-grant, a
+  global run deadline, and SIGINT/SIGTERM graceful drain; plus the
+  durable run drivers (``run_durable_rows``, ``run_durable_reports``),
+  which share one body over the same segment executor;
 * :func:`repro.nn.module.inference_mode` / :func:`repro.nn.module.numeric_guard`
   (re-exported here) — backward-cache-free prediction and opt-in NaN/inf
   guards.
@@ -75,8 +78,6 @@ from repro.runtime.journal import (
 from repro.runtime.parallel import (
     PipelineBroadcast,
     Shard,
-    ShardResult,
-    ShardTask,
     WorkerPool,
     broadcast_classifier,
     broadcast_extractor,
@@ -90,7 +91,6 @@ from repro.runtime.parallel import (
     process_reports_parallel,
     resolve_workers,
     restore_pipeline,
-    run_shard,
     shard_seed,
 )
 from repro.runtime.profiling import PerfCounters, RunStats
@@ -111,7 +111,6 @@ from repro.runtime.supervisor import (
     DurableRunResult,
     GracefulShutdown,
     Lease,
-    PoolTransport,
     RunSupervisor,
     SegmentOutcome,
     SegmentWork,
@@ -141,7 +140,6 @@ __all__ = [
     "OverloadedError",
     "PerfCounters",
     "PipelineBroadcast",
-    "PoolTransport",
     "QuantizationError",
     "QuarantineEntry",
     "QuarantineQueue",
@@ -156,8 +154,6 @@ __all__ = [
     "SegmentOutcome",
     "SegmentWork",
     "Shard",
-    "ShardResult",
-    "ShardTask",
     "StageTimeout",
     "SupervisorConfig",
     "TaskRegistryError",
@@ -189,7 +185,6 @@ __all__ = [
     "rows_digest",
     "run_durable_reports",
     "run_durable_rows",
-    "run_shard",
     "run_stage",
     "sanitize_report",
     "shard_seed",

@@ -8,8 +8,9 @@ substrate the three training loops (:func:`repro.models.training.fit_token_class
 :func:`repro.models.mlm.pretrain_mlm`, :func:`repro.models.distill.distill_encoder`)
 thread their step boundaries through:
 
-* atomic file/dir primitives (:func:`atomic_write_bytes`,
-  :func:`atomic_write_json`, :func:`replace_dir`, :func:`fsync_dir`) —
+* atomic file/dir primitives (:func:`publish_file`,
+  :func:`atomic_write_bytes`, :func:`atomic_write_json`,
+  :func:`replace_dir`, :func:`fsync_dir`, :func:`save_model_dir`) —
   temp sibling + fsync + ``os.replace``, so readers never observe a
   half-written artifact;
 * a per-directory ``manifest.json`` (schema version, config hash, SHA-256
@@ -44,7 +45,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from repro.nn.serialize import (
     module_rngs,
     optimizer_state,
     rng_state,
+    save_state,
     set_rng_state,
 )
 from repro.runtime.errors import ArtifactError, RunInterrupted
@@ -72,9 +74,11 @@ __all__ = [
     "capture_rng_states",
     "config_fingerprint",
     "fsync_dir",
+    "publish_file",
     "read_json",
     "replace_dir",
     "restore_rng_states",
+    "save_model_dir",
     "verify_manifest",
     "write_manifest",
 ]
@@ -101,6 +105,27 @@ def fsync_dir(path: str | Path) -> None:
         os.close(fd)
 
 
+def publish_file(
+    tmp: str | Path,
+    path: str | Path,
+    *,
+    before_replace: Callable[[], None] | None = None,
+) -> None:
+    """Swap a fully written temp sibling over ``path``, durably.
+
+    fsyncs the file, runs ``before_replace`` (a crash-test fault site),
+    renames it into place, then fsyncs the directory: without that last
+    fsync a crash can roll back the ``os.replace`` itself.
+    """
+    path = Path(path)
+    with open(tmp, "rb") as handle:
+        os.fsync(handle.fileno())
+    if before_replace is not None:
+        before_replace()
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+
+
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` via temp sibling + fsync + rename.
 
@@ -109,12 +134,8 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
+    tmp.write_bytes(payload)
+    publish_file(tmp, path)
 
 
 def atomic_write_json(path: str | Path, payload: object) -> None:
@@ -171,6 +192,39 @@ def replace_dir(tmp_dir: str | Path, final_dir: str | Path) -> None:
     os.rename(tmp_dir, final_dir)
     fsync_dir(final_dir.parent)
     shutil.rmtree(backup, ignore_errors=True)
+
+
+def save_model_dir(directory: str | Path, owner: object, *, kind: str) -> None:
+    """Save a fitted model owner's config, tokenizer and weights atomically.
+
+    ``owner`` is an extractor or classifier: it carries ``config`` (a
+    dataclass), ``tokenizer``, ``model`` and ``fault_injector``.
+    Everything, including a checksum manifest, is written to a sibling
+    temp directory, then :func:`replace_dir` swaps it into place, so a
+    crash mid-save never leaves a half-written model directory. Fault
+    sites: ``save`` on entry, ``save_commit`` between the full write and
+    the publish rename.
+    """
+    injector = owner.fault_injector
+    if injector is not None:
+        injector.check("save")
+    directory = Path(directory)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = directory.with_name(directory.name + ".tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    (tmp / "config.json").write_text(
+        json.dumps(dataclasses.asdict(owner.config)), encoding="utf-8"
+    )
+    owner.tokenizer.save(tmp / "tokenizer.json")
+    save_state(owner.model, tmp / "model.npz")
+    write_manifest(
+        tmp, ["config.json", "tokenizer.json", "model.npz"], kind=kind
+    )
+    if injector is not None:
+        injector.check("save_commit")
+    replace_dir(tmp, directory)
 
 
 # -- manifests ---------------------------------------------------------------
@@ -585,10 +639,7 @@ class CheckpointManager:
             # its publication: resume must fall back to the previous one.
             self.fault_injector.check("checkpoint_commit")
         final = self.directory / name
-        if final.exists():
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        fsync_dir(self.directory)
+        replace_dir(tmp, final)
         manifest_digest = hashlib.sha256(_json_bytes(manifest)).hexdigest()
         atomic_write_json(
             self.directory / LATEST_NAME,

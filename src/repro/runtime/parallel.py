@@ -1,24 +1,34 @@
-"""Data-parallel sharded corpus runtime (multiprocessing).
+"""Sharded corpus runtime: one segment executor for every corpus run.
 
-The batch runtime (PR 1) made single-process corpus inference fast; this
-module makes it use every core. A corpus of reports is split into
-contiguous *shards* balanced by estimated token count (the same
-whitespace-word length proxy the scheduler and serving engine budget by),
-the fitted pipeline is broadcast to worker processes exactly **once** at
-spawn — model weights travel as compact ``.npz`` payloads via
-:mod:`repro.nn.serialize`, never re-pickled per document — and each worker
-runs the existing resilient pipeline over its shard (``on_error``
-semantics, per-shard :class:`~repro.runtime.resilience.FaultInjector` with
-deterministic per-shard seeds, quarantine shipped back and merged).
+A corpus is split into contiguous *segments* balanced by estimated token
+count (the same whitespace-word length proxy the scheduler and serving
+engine budget by). The fitted host — a GoalSpotter pipeline, an
+extractor or a text classifier — is broadcast to worker processes
+exactly **once** at spawn: model weights travel as compact ``.npz``
+payloads via :mod:`repro.nn.serialize`, never re-pickled per document.
+Each segment is a :class:`SegmentWork` run by :func:`_execute_segment`,
+which resets the host's run-scoped state (fresh quarantine, a
+per-segment :class:`~repro.runtime.resilience.FaultInjector` under
+:func:`shard_seed`, zeroed stats) and returns a :class:`SegmentOutcome`:
+rows, quarantine, the segment's stats and a typed error.
+
+Segments run in order on one host restored from the broadcast, or on a
+:class:`WorkerPool` of such hosts. The non-durable entry points here
+(:func:`process_reports_parallel`, :func:`extract_batch_parallel`,
+:func:`classify_batch_parallel`) map over the pool and merge; the
+durable drivers of :mod:`repro.runtime.supervisor` lease the same pool
+under a :class:`~repro.runtime.supervisor.RunSupervisor` and journal
+each outcome.
 
 **Correctness contract**: ``workers=N`` is bitwise-identical to
 ``workers=1``. Three properties underwrite this:
 
-* shards are contiguous index ranges, so concatenating shard results in
-  shard order restores exact input order (records *and* quarantine);
+* segments are contiguous index ranges, so concatenating outcomes in
+  segment order restores exact input order (records *and* quarantine);
 * a sequence's logits are bitwise-invariant to microbatch packing (the
-  PR 1/PR 3 width-invariance guarantees), so per-shard batched detection
-  and extraction produce the same scores as one corpus-wide batch;
+  PR 1/PR 3 width-invariance guarantees), so per-segment batched
+  detection and extraction produce the same scores as one corpus-wide
+  batch;
 * caches (BPE, normalize, and the content-addressed result cache of
   :mod:`repro.runtime.rescache`) are value-transparent and every worker's
   RNG state derives deterministically from the broadcast — a pickled
@@ -26,14 +36,8 @@ deterministic per-shard seeds, quarantine shipped back and merged).
   stats, and the single-worker path restores from the same broadcast, so
   ``workers=1`` and ``workers=N`` stay bitwise-identical with caching on.
 
-Per-shard ``RunStats``/``PerfCounters`` merge back through the PR 3
-merge-safe APIs (:meth:`RunStats.merge`), so fleet-wide counters equal the
-sum of per-shard counters exactly.
-
-Entry points: :func:`process_reports_parallel` (the GoalSpotter corpus
-path — also reachable as ``GoalSpotter(..., workers=N)`` or
-``process_reports(..., workers=N)``) and :func:`extract_batch_parallel`
-(the bulk extractor path, wired to ``repro extract --workers``).
+Per-segment ``RunStats`` merge back through :meth:`RunStats.merge`, so
+run-wide counters equal the sum of per-segment counters exactly.
 """
 
 from __future__ import annotations
@@ -43,17 +47,19 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.nn.module import Module
 from repro.nn.serialize import state_from_bytes, state_to_bytes
+from repro.runtime.errors import ReproError, error_from_context
 from repro.runtime.profiling import PerfCounters, RunStats
 from repro.runtime.resilience import (
     FaultInjector,
     FaultSpec,
     QuarantineEntry,
     QuarantineQueue,
+    resilient_rows,
 )
 
 if TYPE_CHECKING:  # avoid an import cycle through repro.runtime.__init__
@@ -64,8 +70,6 @@ if TYPE_CHECKING:  # avoid an import cycle through repro.runtime.__init__
 __all__ = [
     "PipelineBroadcast",
     "Shard",
-    "ShardResult",
-    "ShardTask",
     "WorkerPool",
     "broadcast_classifier",
     "broadcast_extractor",
@@ -79,7 +83,6 @@ __all__ = [
     "process_reports_parallel",
     "resolve_workers",
     "restore_pipeline",
-    "run_shard",
     "shard_seed",
 ]
 
@@ -316,171 +319,236 @@ def restore_pipeline(broadcast: PipelineBroadcast) -> Any:
     return host
 
 
-# -- shard execution ----------------------------------------------------------
+# -- segment execution --------------------------------------------------------
+
+#: Work kinds the segment executor understands.
+KIND_PIPELINE = "pipeline"
+KIND_EXTRACTION = "extraction"
+KIND_CLASSIFICATION = "classification"
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardTask:
-    """One unit of worker work: a contiguous slice of the corpus."""
+class SegmentWork:
+    """One contiguous slice of the corpus: the unit every run executes.
+
+    Parallel runs call the slices shards and durable runs call them
+    journal segments; both execute them through :func:`_execute_segment`.
+    ``mode`` is the ``on_error`` policy. Rows kinds (extraction,
+    classification) with ``mode=None`` return the host's raw batch
+    output; with a policy they return ``{"row", "status"}`` payloads.
+    """
 
     index: int
     start: int
-    reports: tuple  # tuple[SustainabilityReport, ...]
-    mode: str  # on_error policy for this run
-    specs: tuple[FaultSpec, ...]  # fault specs active in this shard
-    seed: int  # per-shard injector seed
+    stop: int
+    kind: str  # pipeline | extraction | classification
+    items: tuple  # SustainabilityReports (pipeline) or texts (rows kinds)
+    mode: str | None  # on_error policy
+    fields: tuple[str, ...]  # empty-row schema for skip/degrade
+    specs: tuple[FaultSpec, ...] = ()  # host-level fault specs
+    seed: int = 0  # per-segment injector seed
 
 
 @dataclasses.dataclass
-class ShardResult:
-    """What one shard sends back to the coordinator."""
+class SegmentOutcome:
+    """What one segment execution sends back."""
 
     index: int
-    start: int
-    records: list  # list[ExtractedRecord], shard-local input order
-    quarantine: list  # list[QuarantineEntry], shard-local order
-    stats: dict | None  # the shard pipeline's last_run_stats
-    extractor_stats: RunStats | None
-    detector_stats: RunStats | None
-    error: Exception | None = None  # first failure under mode="raise"
+    rows: Any  # row payloads, or the host's raw batch output (mode=None)
+    quarantine: list  # list[dict] — QuarantineEntry.as_dict payloads
+    error: dict | None = None  # ReproError.context() + {"retryable": bool}
+    stats: dict | None = None  # RunStats per owner; "pipeline": run dict
 
 
-_WORKER_PIPELINE: Any = None
-_WORKER_EXTRACTOR: Any = None
+def _item_costs(kind: str, items: Sequence[Any]) -> list[int]:
+    """Estimated token cost of each item: the segment planner's weights."""
+    if kind == KIND_PIPELINE:
+        return [estimate_report_cost(report) for report in items]
+    return [estimate_text_cost(text) for text in items]
 
 
-def _init_worker(payload: bytes) -> None:
-    """Pool initializer: restore the broadcast pipeline exactly once."""
-    global _WORKER_PIPELINE
-    _WORKER_PIPELINE = restore_pipeline(pickle.loads(payload))
+def _segment_works(
+    host: Any,
+    kind: str,
+    segments: Sequence[Shard],
+    items: Sequence[Any],
+    mode: str | None,
+    *,
+    fields: Sequence[str] = (),
+    shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
+) -> list[SegmentWork]:
+    """One :class:`SegmentWork` per planned segment of ``items``.
 
-
-def run_shard(task: ShardTask, pipeline: Any = None) -> ShardResult:
-    """Run one shard through a pipeline (the worker's broadcast copy).
-
-    The pipeline's run-scoped state is reset first — fresh quarantine,
-    fresh per-shard fault injector (``task.specs`` under ``task.seed``),
-    zeroed stage stats — so a shard's outcome depends only on its inputs
-    and the broadcast, never on pool scheduling.
+    Specs on the host's fault injector apply to every segment, each
+    under its own :func:`shard_seed`; ``shard_faults`` adds specs to
+    single segments by index.
     """
-    from repro.runtime.errors import ReproError
+    injector = getattr(host, "fault_injector", None)
+    specs = tuple(injector.specs) if injector is not None else ()
+    seed = injector.seed if injector is not None else 0
+    extra = shard_faults or {}
+    return [
+        SegmentWork(
+            index=segment.index,
+            start=segment.start,
+            stop=segment.stop,
+            kind=kind,
+            items=tuple(items[segment.start : segment.stop]),
+            mode=mode,
+            fields=tuple(fields),
+            specs=specs + tuple(extra.get(segment.index, ())),
+            seed=shard_seed(seed, segment.index),
+        )
+        for segment in segments
+    ]
 
-    if pipeline is None:
-        pipeline = _WORKER_PIPELINE
-    if pipeline is None:
-        raise RuntimeError("shard worker was not initialized")
-    pipeline.quarantine = QuarantineQueue()
-    pipeline.fault_injector = (
-        FaultInjector(task.specs, seed=task.seed) if task.specs else None
+
+def _host_batch(host: Any, kind: str, texts: list[str]) -> Any:
+    """The host's own batch call for a rows kind."""
+    if kind == KIND_EXTRACTION:
+        return host.extract_batch(texts)
+    if kind == KIND_CLASSIFICATION:
+        return host.predict_proba(texts)
+    raise ReproError(f"unknown segment kind {kind!r}", stage="run")
+
+
+def _host_rows(host: Any, kind: str, texts: list[str]) -> list[dict]:
+    """One raw row per text — must match ``TaskModel.run_batch`` exactly."""
+    batch = _host_batch(host, kind, texts)
+    if kind == KIND_CLASSIFICATION:
+        from repro.models.text_classifier import classification_rows
+
+        return classification_rows(host.labels, batch)
+    return batch
+
+
+def _rows_segment(host: Any, work: SegmentWork) -> Any:
+    """Rows of one text segment.
+
+    Without a policy this is the host's batch call; with one it is the
+    :func:`~repro.runtime.resilience.resilient_rows` ladder that
+    :meth:`repro.tasks.models.TaskModel.run_resilient` runs, as
+    ``{"row", "status"}`` journal payloads.
+    """
+    texts = list(work.items)
+    if work.mode is None:
+        return _host_batch(host, work.kind, texts)
+    pairs = resilient_rows(
+        lambda batch: _host_rows(host, work.kind, batch),
+        texts,
+        on_error=work.mode,
+        fields=work.fields,
+        stage=work.kind,
     )
-    for owner in (pipeline.detector, pipeline.extractor):
+    return [{"row": row, "status": status} for row, status in pairs]
+
+
+def _stat_owners(host: Any, kind: str) -> dict[str, Any]:
+    """The components whose ``RunStats`` a segment of ``kind`` reports."""
+    if kind == KIND_PIPELINE:
+        return {"detector": host.detector, "extractor": host.extractor}
+    return {"host": host}
+
+
+def _execute_segment(host: Any, work: SegmentWork) -> SegmentOutcome:
+    """Run one segment on a broadcast-restored host.
+
+    Run-scoped state is reset first — a per-segment fault injector
+    (``work.specs`` under ``work.seed``), fresh quarantine, zeroed stage
+    stats — so the outcome depends only on the segment's inputs and the
+    broadcast: never on pool scheduling, a re-grant or a resume.
+    Failures come back as typed error payloads.
+    """
+    if hasattr(host, "fault_injector"):
+        host.fault_injector = (
+            FaultInjector(work.specs, seed=work.seed) if work.specs else None
+        )
+    pipeline = work.kind == KIND_PIPELINE
+    owners = _stat_owners(host, work.kind)
+    if pipeline:
+        host.quarantine = QuarantineQueue()
+    for owner in owners.values():
         if hasattr(owner, "total_run_stats"):
             owner.total_run_stats = RunStats()
             owner.last_run_stats = None
-
-    error: Exception | None = None
-    records: list = []
     try:
-        records = pipeline.process_reports(
-            list(task.reports), on_error=task.mode, workers=1
+        if pipeline:
+            from repro.goalspotter.pipeline import record_to_payload
+
+            records = host.process_reports(
+                list(work.items), on_error=work.mode, workers=1
+            )
+            rows = [record_to_payload(record) for record in records]
+            quarantine = host.quarantine.as_dicts()
+        else:
+            rows, quarantine = _rows_segment(host, work), []
+    except ReproError as error:
+        payload = error.context()
+        payload["retryable"] = error.retryable
+        return SegmentOutcome(
+            index=work.index, rows=[], quarantine=[], error=payload
         )
-    except ReproError as raised:
-        error = raised  # re-raised by the coordinator in shard order
-    return ShardResult(
-        index=task.index,
-        start=task.start,
-        records=records,
-        quarantine=list(pipeline.quarantine),
-        stats=pipeline.last_run_stats,
-        extractor_stats=getattr(
-            pipeline.extractor, "total_run_stats", None
-        ),
-        detector_stats=getattr(pipeline.detector, "total_run_stats", None),
-        error=error,
+    stats = {
+        name: getattr(owner, "total_run_stats", None)
+        for name, owner in owners.items()
+    }
+    if pipeline:
+        stats["pipeline"] = host.last_run_stats
+    return SegmentOutcome(
+        index=work.index, rows=rows, quarantine=quarantine, stats=stats
     )
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+def _local_outcomes(
+    broadcast: PipelineBroadcast, works: Sequence[SegmentWork]
+) -> Iterator[SegmentOutcome]:
+    """The in-process path: every work in order on one restored host.
 
-
-def _map_tasks(
-    tasks: Sequence[ShardTask],
-    broadcast: PipelineBroadcast,
-    workers: int,
-    start_method: str | None,
-) -> list[ShardResult]:
-    """Run shard tasks: in-process for one worker, a pool otherwise.
-
-    The single-worker path still executes on a pipeline *restored from
-    the broadcast* (never the caller's), so ``workers=1`` and
-    ``workers=N`` traverse byte-for-byte the same code and state.
+    Never the caller's host, so ``workers=1`` and ``workers=N`` traverse
+    the same code and state and the caller's run state stays untouched.
+    Lazy, so a durable run can stop between segments.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        return [run_shard(task, pipeline=local) for task in tasks]
-    payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-    context = multiprocessing.get_context(
-        start_method or _default_start_method()
-    )
-    with context.Pool(
-        processes=min(workers, len(tasks)),
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        return pool.map(run_shard, tasks, chunksize=1)
+    host = restore_pipeline(broadcast)
+    for work in works:
+        yield _execute_segment(host, work)
 
 
-def map_shards(
-    tasks: Sequence[Any],
-    func: Any,
-    *,
-    workers: int | str | None = None,
-    start_method: str | None = None,
-) -> list[Any]:
-    """Map a picklable top-level function over shard task payloads.
-
-    The generic sibling of :func:`_map_tasks` for shard work that does
-    not need a model broadcast (e.g. knowledge-graph ingestion): results
-    come back in input order, ``workers<=1`` runs in-process through the
-    exact same call path, and ``func`` must be a module-level function so
-    it pickles under the ``spawn`` start method.
-    """
-    tasks = list(tasks)
-    count = resolve_workers(workers)
-    if not tasks:
-        return []
-    if count <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    context = multiprocessing.get_context(
-        start_method or _default_start_method()
-    )
-    with context.Pool(processes=min(count, len(tasks))) as pool:
-        return pool.map(func, tasks, chunksize=1)
+_WORKER_HOST: Any = None
 
 
-# -- supervised async execution -----------------------------------------------
+def _init_worker(payload: bytes) -> None:
+    """Pool initializer: restore the broadcast host exactly once."""
+    global _WORKER_HOST
+    _WORKER_HOST = restore_pipeline(pickle.loads(payload))
+
+
+def _worker_segment(work: SegmentWork) -> SegmentOutcome:
+    if _WORKER_HOST is None:
+        raise RuntimeError("segment worker was not initialized")
+    return _execute_segment(_WORKER_HOST, work)
+
+
+def _mp_context(start_method: str | None):
+    """``start_method``'s context; default ``fork`` where available."""
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
 
 
 class WorkerPool:
-    """Broadcast-initialized process pool with an async submit surface.
+    """Process pool of broadcast-restored hosts executing segments.
 
-    The synchronous entry points in this module (``pool.map``) block
-    until every shard returns, which leaves no room for supervision: a
-    hung worker stalls the whole corpus. ``WorkerPool`` keeps the same
-    one-shot broadcast + initializer contract but hands out
-    ``AsyncResult`` handles, so the :class:`~repro.runtime.supervisor.
-    RunSupervisor` can claim work under leases, poll for completion,
-    detect hung workers, and re-grant their segments — the PR 7
-    at-least-once pattern applied to batch runs.
+    The broadcast ships once, at spawn; each worker restores it and runs
+    every :class:`SegmentWork` it receives through
+    :func:`_execute_segment`. The pool is the
+    :class:`~repro.runtime.supervisor.RunSupervisor` transport
+    (``submit``/``poll``/``heartbeat``/``close``/``capacity``) for
+    durable runs; non-durable runs :meth:`map` over it with no leases.
 
     Args:
         broadcast: a :class:`PipelineBroadcast` shipped once at spawn.
         workers: pool size (submission beyond it queues inside the pool).
-        runner: module-level function applied to each submitted task.
-        initializer: module-level pool initializer taking the pickled
-            broadcast payload (e.g. restores it into a worker global).
         start_method: multiprocessing start method (default ``fork``
             where available, else ``spawn``).
     """
@@ -490,26 +558,54 @@ class WorkerPool:
         broadcast: PipelineBroadcast,
         *,
         workers: int,
-        runner: Any,
-        initializer: Any,
         start_method: str | None = None,
     ) -> None:
-        self.workers = max(1, int(workers))
-        self._runner = runner
+        self.capacity = max(1, int(workers))
         payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        self._pool = context.Pool(
-            processes=self.workers,
-            initializer=initializer,
+        self._pool = _mp_context(start_method).Pool(
+            processes=self.capacity,
+            initializer=_init_worker,
             initargs=(payload,),
         )
         self._closed = False
 
-    def submit(self, task: Any):
-        """Dispatch one task; returns its ``AsyncResult`` handle."""
-        return self._pool.apply_async(self._runner, (task,))
+    def submit(self, work: SegmentWork):
+        """Dispatch one segment; returns its ``AsyncResult`` handle."""
+        return self._pool.apply_async(_worker_segment, (work,))
+
+    def poll(self, handle) -> SegmentOutcome | None:
+        """The outcome if ``handle`` finished, else ``None`` (non-blocking).
+
+        A worker that died un-caught (e.g. killed) comes back as a
+        retryable error outcome, so the supervisor can re-grant.
+        """
+        if not handle.ready():
+            return None
+        try:
+            return handle.get(timeout=0)
+        except Exception as error:
+            wrapped = ReproError(
+                f"segment worker failed: {type(error).__name__}: {error}",
+                stage="run",
+            )
+            payload = wrapped.context()
+            payload["retryable"] = True
+            return SegmentOutcome(
+                index=-1, rows=[], quarantine=[], error=payload
+            )
+
+    def heartbeat(self, handle) -> float | None:
+        """Always ``None``: a worker cannot heartbeat mid-segment.
+
+        A segment is one call, so lease expiry falls back to grant time +
+        ``lease_timeout`` — size the timeout to cover a whole segment.
+        """
+        return None
+
+    def map(self, works: Sequence[SegmentWork]) -> list[SegmentOutcome]:
+        """Outcomes of ``works`` in order; a crashed worker's error raises."""
+        handles = [self.submit(work) for work in works]
+        return [handle.get() for handle in handles]
 
     def close(self, *, force: bool = False) -> None:
         """Shut the pool down; ``force`` kills workers instead of waiting.
@@ -533,7 +629,105 @@ class WorkerPool:
         self.close(force=exc[0] is not None)
 
 
-# -- the corpus entry point ---------------------------------------------------
+# -- non-durable runs ---------------------------------------------------------
+
+
+def _run_shards(
+    host: Any,
+    kind: str,
+    broadcast: PipelineBroadcast,
+    items: list,
+    *,
+    workers: int,
+    num_shards: int | None,
+    mode: str | None,
+    start_method: str | None,
+    shard_faults: Mapping[int, Sequence[FaultSpec]] | None = None,
+) -> tuple[list[SegmentOutcome], dict[str, RunStats]]:
+    """Plan shards, execute them, and merge: the parallel entry points' body.
+
+    Outcomes come back in shard order, so concatenating their rows *is*
+    input order. There are no leases, re-grants or lease timeout: one
+    shard per worker can run for as long as it needs. Under
+    ``on_error="raise"`` the lowest-indexed failing shard's error is
+    raised, the same failure a sequential run meets first. Otherwise
+    each owner's per-shard :class:`RunStats` sum into one that becomes
+    its ``last_run_stats`` and folds into its ``total_run_stats``.
+    """
+    shards = plan_shards(
+        _item_costs(kind, items), min(num_shards or workers, len(items))
+    )
+    works = _segment_works(
+        host, kind, shards, items, mode, shard_faults=shard_faults
+    )
+    if workers <= 1 or len(works) <= 1:
+        outcomes = list(_local_outcomes(broadcast, works))
+    else:
+        with WorkerPool(
+            broadcast,
+            workers=min(workers, len(works)),
+            start_method=start_method,
+        ) as pool:
+            outcomes = pool.map(works)
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise error_from_context(outcome.error)
+    merged: dict[str, RunStats] = {}
+    for name, owner in _stat_owners(host, kind).items():
+        stats = RunStats()
+        for outcome in outcomes:
+            if outcome.stats.get(name) is not None:
+                stats = stats.merge(outcome.stats[name])
+        if hasattr(owner, "total_run_stats"):
+            with owner._stats_lock:
+                owner.last_run_stats = stats
+                owner.total_run_stats = owner.total_run_stats.merge(stats)
+        merged[name] = stats
+    return outcomes, merged
+
+
+def map_shards(
+    tasks: Sequence[Any],
+    func: Any,
+    *,
+    workers: int | str | None = None,
+    start_method: str | None = None,
+) -> list[Any]:
+    """Map a picklable top-level function over shard task payloads.
+
+    For shard work that needs no model broadcast (e.g. knowledge-graph
+    ingestion): results come back in input order, ``workers<=1`` runs
+    in-process through the exact same call path, and ``func`` must be a
+    module-level function so it pickles under the ``spawn`` start method.
+    """
+    tasks = list(tasks)
+    count = resolve_workers(workers)
+    if not tasks:
+        return []
+    if count <= 1 or len(tasks) <= 1:
+        return [func(task) for task in tasks]
+    with _mp_context(start_method).Pool(
+        processes=min(count, len(tasks))
+    ) as pool:
+        return pool.map(func, tasks, chunksize=1)
+
+
+#: last_run_stats keys summed across shards by the merge.
+_SUMMED_STAT_KEYS = (
+    "detect_seconds",
+    "extract_seconds",
+    "blocks",
+    "detected_blocks",
+    "extraction_units",
+    "records",
+    "retries",
+    "failures",
+    "degraded_records",
+    "failed_records",
+    "fallback_documents",
+    "quarantined_documents",
+    "sanitized_blocks",
+)
 
 
 def process_reports_parallel(
@@ -568,6 +762,8 @@ def process_reports_parallel(
         start_method: multiprocessing start method (default ``fork``
             where available, else ``spawn``).
     """
+    from repro.goalspotter.pipeline import record_from_payload
+
     mode = on_error if on_error is not None else pipeline.on_error
     reports = list(reports)
     workers = resolve_workers(workers)
@@ -575,160 +771,60 @@ def process_reports_parallel(
         return pipeline.process_reports([], on_error=mode, workers=1)
 
     wall_start = time.perf_counter()
-    with_timer = PerfCounters()
-    with with_timer.timer("broadcast_seconds"):
+    timer = PerfCounters()
+    with timer.timer("broadcast_seconds"):
         broadcast = broadcast_pipeline(pipeline)
-
-    costs = [estimate_report_cost(report) for report in reports]
-    shards = plan_shards(costs, min(num_shards or workers, len(reports)))
-    extra_faults = dict(shard_faults or {})
-    base_injector = pipeline.fault_injector
-    base_specs = (
-        tuple(base_injector.specs) if base_injector is not None else ()
-    )
-    base_seed = base_injector.seed if base_injector is not None else 0
-    tasks = [
-        ShardTask(
-            index=shard.index,
-            start=shard.start,
-            reports=tuple(reports[shard.start : shard.stop]),
-            mode=mode,
-            specs=base_specs + tuple(extra_faults.get(shard.index, ())),
-            seed=shard_seed(base_seed, shard.index),
-        )
-        for shard in shards
-    ]
-
-    results = _map_tasks(tasks, broadcast, workers, start_method)
-    results.sort(key=lambda result: result.start)
-
-    for result in results:
-        if result.error is not None:
-            raise result.error  # mode="raise": first failure, input order
-
-    records: list = []
-    quarantine: list[QuarantineEntry] = []
-    for result in results:
-        records.extend(result.records)
-        quarantine.extend(result.quarantine)
-    pipeline.quarantine.extend(quarantine)
-
-    wall = time.perf_counter() - wall_start
-    pipeline.last_run_stats = _merge_shard_stats(
+    outcomes, owner_stats = _run_shards(
         pipeline,
-        results,
-        mode=mode,
+        KIND_PIPELINE,
+        broadcast,
+        reports,
         workers=workers,
-        wall=wall,
-        broadcast_seconds=with_timer.get("broadcast_seconds"),
-        broadcast_bytes=broadcast.num_bytes,
-        num_records=len(records),
+        num_shards=num_shards,
+        mode=mode,
+        start_method=start_method,
+        shard_faults=shard_faults,
     )
-    return records
-
-
-#: last_run_stats keys summed across shards by the merge.
-_SUMMED_STAT_KEYS = (
-    "detect_seconds",
-    "extract_seconds",
-    "blocks",
-    "detected_blocks",
-    "extraction_units",
-    "records",
-    "retries",
-    "failures",
-    "degraded_records",
-    "failed_records",
-    "fallback_documents",
-    "quarantined_documents",
-    "sanitized_blocks",
-)
-
-
-def _merge_shard_stats(
-    pipeline: Any,
-    results: Sequence[ShardResult],
-    *,
-    mode: str,
-    workers: int,
-    wall: float,
-    broadcast_seconds: float,
-    broadcast_bytes: int,
-    num_records: int,
-) -> dict:
-    """One run-stats dict whose counters sum the per-shard counters."""
-    merged: dict = {name: 0 for name in _SUMMED_STAT_KEYS}
-    shard_wall = 0.0
-    fast_path = True
-    for result in results:
-        stats = result.stats or {}
-        for name in _SUMMED_STAT_KEYS:
-            merged[name] += stats.get(name, 0)
-        shard_wall += stats.get("wall_seconds", 0.0)
-        fast_path = fast_path and bool(stats.get("fast_path", True))
-
-    extractor_stats = RunStats()
-    detector_stats = RunStats()
-    for result in results:
-        if result.extractor_stats is not None:
-            extractor_stats = extractor_stats.merge(result.extractor_stats)
-        if result.detector_stats is not None:
-            detector_stats = detector_stats.merge(result.detector_stats)
-    for owner, stats in (
-        (pipeline.extractor, extractor_stats),
-        (pipeline.detector, detector_stats),
-    ):
-        if hasattr(owner, "total_run_stats"):
-            owner.total_run_stats = owner.total_run_stats.merge(stats)
-            owner.last_run_stats = stats
-
+    records = [
+        record_from_payload(row)
+        for outcome in outcomes
+        for row in outcome.rows
+    ]
+    pipeline.quarantine.extend(
+        QuarantineEntry.from_dict(entry)
+        for outcome in outcomes
+        for entry in outcome.quarantine
+    )
+    wall = time.perf_counter() - wall_start
+    shard_stats = [outcome.stats["pipeline"] or {} for outcome in outcomes]
+    merged = {
+        name: sum(stats.get(name, 0) for stats in shard_stats)
+        for name in _SUMMED_STAT_KEYS
+    }
     blocks = int(merged["blocks"])
     merged.update(
         {
             "wall_seconds": wall,
             "blocks_per_second": blocks / wall if wall > 0 else 0.0,
-            "records": num_records,
+            "records": len(records),
             "on_error": mode,
-            "fast_path": fast_path,
-            "extractor": extractor_stats.as_dict(),
+            "fast_path": all(
+                bool(stats.get("fast_path", True)) for stats in shard_stats
+            ),
+            "extractor": owner_stats["extractor"].as_dict(),
             # Parallel-runtime observability:
             "workers": workers,
-            "num_shards": len(results),
-            "shard_wall_seconds": shard_wall,
-            "broadcast_seconds": broadcast_seconds,
-            "broadcast_bytes": broadcast_bytes,
-            "shards": [result.stats for result in results],
+            "num_shards": len(outcomes),
+            "shard_wall_seconds": sum(
+                stats.get("wall_seconds", 0.0) for stats in shard_stats
+            ),
+            "broadcast_seconds": timer.get("broadcast_seconds"),
+            "broadcast_bytes": broadcast.num_bytes,
+            "shards": [outcome.stats["pipeline"] for outcome in outcomes],
         }
     )
-    return merged
-
-
-# -- the bulk extractor entry point -------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _ExtractTask:
-    index: int
-    start: int
-    texts: tuple
-
-
-def _init_extract_worker(payload: bytes) -> None:
-    global _WORKER_EXTRACTOR
-    _WORKER_EXTRACTOR = restore_pipeline(pickle.loads(payload))
-
-
-def _run_extract_shard(task: _ExtractTask):
-    extractor = _WORKER_EXTRACTOR
-    if extractor is None:
-        raise RuntimeError("extract worker was not initialized")
-    details = extractor.extract_batch(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        details,
-        getattr(extractor, "last_run_stats", None),
-    )
+    pipeline.last_run_stats = merged
+    return records
 
 
 def extract_batch_parallel(
@@ -758,83 +854,17 @@ def extract_batch_parallel(
     workers = resolve_workers(workers)
     if not texts:
         return []
-    broadcast = broadcast_extractor(extractor)
-    costs = [estimate_text_cost(text) for text in texts]
-    shards = plan_shards(costs, min(num_shards or workers, len(texts)))
-    tasks = [
-        _ExtractTask(
-            index=shard.index,
-            start=shard.start,
-            texts=tuple(texts[shard.start : shard.stop]),
-        )
-        for shard in shards
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        outcomes = [_run_extract_shard_on(task, local) for task in tasks]
-    else:
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        with context.Pool(
-            processes=min(workers, len(tasks)),
-            initializer=_init_extract_worker,
-            initargs=(payload,),
-        ) as pool:
-            outcomes = pool.map(_run_extract_shard, tasks, chunksize=1)
-    outcomes.sort(key=lambda outcome: outcome[1])
-    details: list[dict[str, str]] = []
-    merged = RunStats()
-    for __, __, shard_details, shard_stats in outcomes:
-        details.extend(shard_details)
-        if shard_stats is not None:
-            merged = merged.merge(shard_stats)
-    if hasattr(extractor, "total_run_stats"):
-        with extractor._stats_lock:
-            extractor.last_run_stats = merged
-            extractor.total_run_stats = extractor.total_run_stats.merge(
-                merged
-            )
-    return details
-
-
-def _run_extract_shard_on(task: _ExtractTask, extractor: Any):
-    details = extractor.extract_batch(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        details,
-        getattr(extractor, "last_run_stats", None),
+    outcomes, __ = _run_shards(
+        extractor,
+        KIND_EXTRACTION,
+        broadcast_extractor(extractor),
+        texts,
+        workers=workers,
+        num_shards=num_shards,
+        mode=None,
+        start_method=start_method,
     )
-
-
-# -- the bulk classifier entry point ------------------------------------------
-
-
-_WORKER_CLASSIFIER: Any = None
-
-
-def _init_classify_worker(payload: bytes) -> None:
-    global _WORKER_CLASSIFIER
-    _WORKER_CLASSIFIER = restore_pipeline(pickle.loads(payload))
-
-
-def _run_classify_shard(task: _ExtractTask):
-    classifier = _WORKER_CLASSIFIER
-    if classifier is None:
-        raise RuntimeError("classify worker was not initialized")
-    return _run_classify_shard_on(task, classifier)
-
-
-def _run_classify_shard_on(task: _ExtractTask, classifier: Any):
-    probabilities = classifier.predict_proba(list(task.texts))
-    return (
-        task.index,
-        task.start,
-        probabilities,
-        getattr(classifier, "last_run_stats", None),
-    )
+    return [row for outcome in outcomes for row in outcome.rows]
 
 
 def classify_batch_parallel(
@@ -852,9 +882,7 @@ def classify_batch_parallel(
     are scored independently, and the probability rows are concatenated
     back into exact input order. Packing-invariant logits make the result
     bitwise-identical to the sequential call for any ``workers``/
-    ``num_shards`` split; the single-worker path also runs on a pipeline
-    restored from the broadcast so both paths share state handling.
-    Merged per-shard :class:`RunStats` land in
+    ``num_shards`` split. Merged per-shard :class:`RunStats` land in
     ``classifier.last_run_stats`` / ``total_run_stats``.
     """
     import numpy as np
@@ -863,42 +891,14 @@ def classify_batch_parallel(
     workers = resolve_workers(workers)
     if not texts:
         return classifier.predict_proba([])
-    broadcast = broadcast_classifier(classifier)
-    costs = [estimate_text_cost(text) for text in texts]
-    shards = plan_shards(costs, min(num_shards or workers, len(texts)))
-    tasks = [
-        _ExtractTask(
-            index=shard.index,
-            start=shard.start,
-            texts=tuple(texts[shard.start : shard.stop]),
-        )
-        for shard in shards
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        local = restore_pipeline(broadcast)
-        outcomes = [_run_classify_shard_on(task, local) for task in tasks]
-    else:
-        payload = pickle.dumps(broadcast, protocol=pickle.HIGHEST_PROTOCOL)
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        with context.Pool(
-            processes=min(workers, len(tasks)),
-            initializer=_init_classify_worker,
-            initargs=(payload,),
-        ) as pool:
-            outcomes = pool.map(_run_classify_shard, tasks, chunksize=1)
-    outcomes.sort(key=lambda outcome: outcome[1])
-    merged = RunStats()
-    rows = []
-    for __, __, shard_rows, shard_stats in outcomes:
-        rows.append(shard_rows)
-        if shard_stats is not None:
-            merged = merged.merge(shard_stats)
-    if hasattr(classifier, "total_run_stats"):
-        with classifier._stats_lock:
-            classifier.last_run_stats = merged
-            classifier.total_run_stats = classifier.total_run_stats.merge(
-                merged
-            )
-    return np.concatenate(rows, axis=0)
+    outcomes, __ = _run_shards(
+        classifier,
+        KIND_CLASSIFICATION,
+        broadcast_classifier(classifier),
+        texts,
+        workers=workers,
+        num_shards=num_shards,
+        mode=None,
+        start_method=start_method,
+    )
+    return np.concatenate([outcome.rows for outcome in outcomes], axis=0)

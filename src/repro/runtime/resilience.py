@@ -512,6 +512,43 @@ def run_stage(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def resilient_rows(
+    batch: Callable[[list[str]], list[dict]],
+    texts: list[str],
+    *,
+    on_error: str,
+    fields: Sequence[str],
+    stage: str,
+    policy: RetryPolicy | None = None,
+) -> list[tuple[dict, str]]:
+    """The degradation ladder for text batches: ``(row, status)`` pairs.
+
+    One optimistic ``batch(texts)`` attempt first. If it fails and
+    ``on_error`` is not ``"raise"``, each text is retried alone through
+    ``batch([text])``, so one poisoned input cannot take down its
+    batchmates; a text that still fails becomes an empty row over
+    ``fields`` with status ``"skipped"`` or ``"degraded"``.
+    """
+    policy = policy or RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
+    try:
+        rows = run_stage(lambda: batch(texts), stage=stage, policy=policy)
+        return [(row, "ok") for row in rows]
+    except ReproError:
+        if on_error == "raise":
+            raise
+    results: list[tuple[dict, str]] = []
+    for text in texts:
+        try:
+            row = run_stage(
+                lambda t=text: batch([t])[0], stage=stage, policy=policy
+            )
+            results.append((row, "ok"))
+        except ReproError:
+            status = "skipped" if on_error == "skip" else "degraded"
+            results.append(({field: "" for field in fields}, status))
+    return results
+
+
 def _timeout_error(
     stage: str,
     deadline: float,

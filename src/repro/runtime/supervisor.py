@@ -3,9 +3,9 @@
 :mod:`repro.runtime.journal` makes committed work crash-safe; this
 module makes the *execution* of the remaining work supervised. A
 :class:`RunSupervisor` claims pending journal segments under leases,
-dispatches them to a transport (an async broadcast worker pool or an
-in-process executor), and enforces the failure model batch runs never
-had:
+dispatches them to a transport (the
+:class:`~repro.runtime.parallel.WorkerPool` in production), and
+enforces the failure model batch runs never had:
 
 * **hung-worker reaping** — a lease whose worker stops heartbeating (or
   never completes within ``lease_timeout``) is reaped and re-granted to
@@ -28,14 +28,14 @@ supervisor: :func:`run_durable_rows` (bulk text→row inference for any
 registered task, extraction or classification) and
 :func:`run_durable_reports` (the GoalSpotter corpus path, with
 quarantine entries persisted into the journal so poison documents are
-not retried on resume).
+not retried on resume). Both execute segments through the one segment
+executor of :mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import pickle
 import signal
 import threading
 import time
@@ -44,38 +44,34 @@ from typing import Any, Callable, Sequence
 
 from repro.runtime.checkpoint import config_fingerprint
 from repro.runtime.errors import (
-    ReproError,
     RunInterrupted,
     StageTimeout,
     error_from_context,
 )
 from repro.runtime.journal import RunJournal, input_digest
 from repro.runtime.parallel import (
+    KIND_CLASSIFICATION,
+    KIND_EXTRACTION,
+    KIND_PIPELINE,
+    SegmentOutcome,
+    SegmentWork,
     WorkerPool,
+    _item_costs,
+    _local_outcomes,
+    _segment_works,
     broadcast_classifier,
     broadcast_extractor,
     broadcast_pipeline,
-    estimate_report_cost,
-    estimate_text_cost,
     plan_shards,
-    restore_pipeline,
-    shard_seed,
+    resolve_workers,
 )
-from repro.runtime.resilience import (
-    FaultInjector,
-    FaultSpec,
-    QuarantineQueue,
-    RetryPolicy,
-    run_stage,
-)
-from repro.runtime.profiling import RunStats
+from repro.runtime.resilience import FaultInjector
 
 __all__ = [
     "DEFAULT_SEGMENT_ITEMS",
     "DurableRunResult",
     "GracefulShutdown",
     "Lease",
-    "PoolTransport",
     "RunSupervisor",
     "SegmentOutcome",
     "SegmentWork",
@@ -87,11 +83,6 @@ __all__ = [
 
 #: Default documents/texts per journal segment (the commit granularity).
 DEFAULT_SEGMENT_ITEMS = 16
-
-#: Row kinds understood by the segment executor.
-KIND_EXTRACTION = "extraction"
-KIND_CLASSIFICATION = "classification"
-KIND_PIPELINE = "pipeline"
 
 
 # -- graceful shutdown --------------------------------------------------------
@@ -144,199 +135,6 @@ class GracefulShutdown:
     @property
     def requested(self) -> bool:
         return self.event.is_set()
-
-
-# -- work units ---------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class SegmentWork:
-    """One journal segment's worth of work, picklable for the pool."""
-
-    index: int
-    start: int
-    stop: int
-    kind: str  # extraction | classification | pipeline
-    items: tuple  # texts (rows kinds) or SustainabilityReports (pipeline)
-    mode: str  # on_error policy
-    fields: tuple[str, ...]  # empty-row schema for skip/degrade
-    specs: tuple[FaultSpec, ...] = ()  # host-level fault specs
-    seed: int = 0  # per-segment injector seed
-
-
-@dataclasses.dataclass
-class SegmentOutcome:
-    """What a segment execution sends back to the supervisor."""
-
-    index: int
-    rows: list
-    quarantine: list  # list[dict] — QuarantineEntry.as_dict payloads
-    error: dict | None = None  # ReproError.context() + {"retryable": bool}
-
-
-def _host_rows(host: Any, kind: str, texts: list[str]) -> list[dict]:
-    """One raw row per text — must match ``TaskModel.run_batch`` exactly."""
-    if kind == KIND_EXTRACTION:
-        return host.extract_batch(list(texts))
-    if kind == KIND_CLASSIFICATION:
-        from repro.models.text_classifier import classification_rows
-
-        return classification_rows(host.labels, host.predict_proba(list(texts)))
-    raise ReproError(f"unknown durable row kind {kind!r}", stage="run")
-
-
-def _rows_segment(host: Any, work: SegmentWork) -> list[dict]:
-    """Resilient rows for one segment: the ``run_resilient`` ladder.
-
-    Optimistic whole-segment attempt first; under ``skip``/``degrade``
-    each text is then retried in isolation so one poisoned input cannot
-    take down its segment-mates. Statuses mirror
-    :meth:`repro.tasks.models.TaskModel.run_resilient` exactly.
-    """
-    texts = list(work.items)
-    policy = RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
-    try:
-        rows = run_stage(
-            lambda: _host_rows(host, work.kind, texts),
-            stage=work.kind,
-            policy=policy,
-        )
-        return [{"row": row, "status": "ok"} for row in rows]
-    except ReproError:
-        if work.mode == "raise":
-            raise
-    payloads: list[dict] = []
-    for text in texts:
-        try:
-            row = run_stage(
-                lambda t=text: _host_rows(host, work.kind, [t])[0],
-                stage=work.kind,
-                policy=policy,
-            )
-            payloads.append({"row": row, "status": "ok"})
-        except ReproError:
-            status = "skipped" if work.mode == "skip" else "degraded"
-            empty = {field: "" for field in work.fields}
-            payloads.append({"row": empty, "status": status})
-    return payloads
-
-
-def _pipeline_segment(host: Any, work: SegmentWork) -> tuple[list, list]:
-    """Run one report segment through a broadcast-restored GoalSpotter.
-
-    Run-scoped state is reset first (fresh quarantine, per-segment fault
-    injector under the segment seed) exactly like
-    :func:`repro.runtime.parallel.run_shard`, so a segment's outcome —
-    records *and* quarantine — depends only on its inputs and the
-    broadcast, never on which execution attempt produced it.
-    """
-    from repro.goalspotter.pipeline import record_to_payload
-
-    host.quarantine = QuarantineQueue()
-    host.fault_injector = (
-        FaultInjector(work.specs, seed=work.seed) if work.specs else None
-    )
-    for owner in (host.detector, host.extractor):
-        if hasattr(owner, "total_run_stats"):
-            owner.total_run_stats = RunStats()
-            owner.last_run_stats = None
-    records = host.process_reports(
-        list(work.items), on_error=work.mode, workers=1
-    )
-    return (
-        [record_to_payload(record) for record in records],
-        host.quarantine.as_dicts(),
-    )
-
-
-def _execute_segment(host: Any, work: SegmentWork) -> SegmentOutcome:
-    """Run one segment on ``host``; failures come back as typed payloads."""
-    try:
-        if work.kind == KIND_PIPELINE:
-            rows, quarantine = _pipeline_segment(host, work)
-        else:
-            if hasattr(host, "fault_injector"):
-                host.fault_injector = (
-                    FaultInjector(work.specs, seed=work.seed)
-                    if work.specs
-                    else None
-                )
-            rows = _rows_segment(host, work)
-            quarantine = []
-        return SegmentOutcome(index=work.index, rows=rows, quarantine=quarantine)
-    except ReproError as error:
-        payload = error.context()
-        payload["retryable"] = error.retryable
-        return SegmentOutcome(
-            index=work.index, rows=[], quarantine=[], error=payload
-        )
-
-
-# -- transports ---------------------------------------------------------------
-
-_DURABLE_HOST: Any = None
-
-
-def _init_durable_worker(payload: bytes) -> None:
-    """Pool initializer: restore the broadcast host exactly once."""
-    global _DURABLE_HOST
-    _DURABLE_HOST = restore_pipeline(pickle.loads(payload))
-
-
-def _run_segment_worker(work: SegmentWork) -> SegmentOutcome:
-    if _DURABLE_HOST is None:
-        raise RuntimeError("durable segment worker was not initialized")
-    return _execute_segment(_DURABLE_HOST, work)
-
-
-class PoolTransport:
-    """Supervisor transport over a :class:`WorkerPool` of processes.
-
-    ``submit`` returns the pool's ``AsyncResult`` handle; ``poll`` is
-    non-blocking. Process-pool workers cannot heartbeat mid-segment (a
-    segment is one call), so :meth:`heartbeat` reports ``None`` and
-    lease expiry falls back to grant time + ``lease_timeout`` — size the
-    timeout to cover a whole segment.
-    """
-
-    def __init__(
-        self,
-        broadcast,
-        *,
-        workers: int,
-        start_method: str | None = None,
-    ) -> None:
-        self._pool = WorkerPool(
-            broadcast,
-            workers=workers,
-            runner=_run_segment_worker,
-            initializer=_init_durable_worker,
-            start_method=start_method,
-        )
-        self.capacity = self._pool.workers
-
-    def submit(self, work: SegmentWork):
-        return self._pool.submit(work)
-
-    def poll(self, handle) -> SegmentOutcome | None:
-        if not handle.ready():
-            return None
-        try:
-            return handle.get(timeout=0)
-        except Exception as error:  # worker died un-caught (e.g. killed)
-            wrapped = ReproError(
-                f"segment worker failed: {type(error).__name__}: {error}",
-                stage="run",
-            )
-            payload = wrapped.context()
-            payload["retryable"] = True
-            return SegmentOutcome(index=-1, rows=[], quarantine=[], error=payload)
-
-    def heartbeat(self, handle) -> float | None:
-        return None
-
-    def close(self, *, force: bool = False) -> None:
-        self._pool.close(force=force)
 
 
 # -- the supervisor -----------------------------------------------------------
@@ -530,13 +328,17 @@ class RunSupervisor:
             if not progressed:
                 self._sleep(self.config.poll_interval)
         self.transport.close(force=bool(leases))
-        committed = len(self.journal.segments)
-        total = len(self.journal.manifest["segments"])
-        raise RunInterrupted(
-            f"run drained: {committed}/{total} segments committed; "
-            "re-run with --resume to continue",
-            stage="run",
-        )
+        raise _drained(self.journal)
+
+
+def _drained(journal: RunJournal) -> RunInterrupted:
+    """The error a drained run raises, naming its committed progress."""
+    return RunInterrupted(
+        f"run drained: {len(journal.segments)}/"
+        f"{len(journal.manifest['segments'])} segments committed; "
+        "re-run with --resume to continue",
+        stage="run",
+    )
 
 
 # -- segment planning ---------------------------------------------------------
@@ -588,76 +390,100 @@ def _broadcast_host(host: Any, kind: str):
     return broadcast_classifier(host)
 
 
-def _host_specs(host: Any) -> tuple[tuple[FaultSpec, ...], int]:
-    injector = getattr(host, "fault_injector", None)
-    if injector is None:
-        return (), 0
-    return tuple(injector.specs), injector.seed
-
-
 def _run_segments(
     journal: RunJournal,
     works: list[SegmentWork],
-    host: Any,
-    kind: str,
+    broadcast,
     *,
     workers: int,
     config: SupervisorConfig | None,
     drain_event: threading.Event | None,
     start_method: str | None,
 ) -> dict:
-    """Execute pending works and commit them; returns supervisor stats.
+    """Execute pending works, committing each as it finishes; run stats.
 
-    ``workers<=1`` runs in-process and honors the drain event between
-    segments; ``workers>1`` goes through the full lease-supervised
-    pool. Rows kinds run sequentially on the live host (serialized
-    state restores bitwise-identically, so skipping the broadcast
-    round-trip cannot change output); pipeline segments reset run-scoped
-    host state, so the sequential path executes them on a host restored
-    from the broadcast to leave the caller's pipeline untouched.
+    ``workers<=1`` (or one pending segment) runs the works in order on a
+    broadcast-restored host and honors the drain event between
+    segments; otherwise the pool runs them under supervisor leases.
     """
     if workers <= 1 or len(works) <= 1:
-        if kind == KIND_PIPELINE:
-            local = restore_pipeline(_broadcast_host(host, kind))
-        else:
-            local = host
-        saved_injector = getattr(host, "fault_injector", None)
-        try:
-            for work in works:
-                if drain_event is not None and drain_event.is_set():
-                    raise RunInterrupted(
-                        f"run drained: {len(journal.segments)}/"
-                        f"{len(journal.manifest['segments'])} segments "
-                        "committed; re-run with --resume to continue",
-                        stage="run",
-                    )
-                outcome = _execute_segment(local, work)
-                if outcome.error is not None:
-                    raise error_from_context(outcome.error)
-                journal.commit_segment(
-                    work.index, outcome.rows, quarantine=outcome.quarantine
-                )
-        finally:
-            if local is host and hasattr(host, "fault_injector"):
-                host.fault_injector = saved_injector
+        outcomes = _local_outcomes(broadcast, works)
+        for __ in works:
+            # Checked before each segment starts: a drain begins no work.
+            if drain_event is not None and drain_event.is_set():
+                raise _drained(journal)
+            outcome = next(outcomes)
+            if outcome.error is not None:
+                raise error_from_context(outcome.error)
+            journal.commit_segment(
+                outcome.index, outcome.rows, quarantine=outcome.quarantine
+            )
         return {"workers": 1, "supervised": False}
-    transport = PoolTransport(
-        _broadcast_host(host, kind),
-        workers=min(workers, len(works)),
-        start_method=start_method,
-    )
-    supervisor = RunSupervisor(
-        journal, transport, config=config, drain_event=drain_event
-    )
-    try:
+    with WorkerPool(
+        broadcast, workers=min(workers, len(works)), start_method=start_method
+    ) as pool:
+        supervisor = RunSupervisor(
+            journal, pool, config=config, drain_event=drain_event
+        )
         supervisor.run(works)
-    finally:
-        transport.close()
-    return {
-        "workers": workers,
-        "supervised": True,
-        **supervisor.stats,
-    }
+    return {"workers": workers, "supervised": True, **supervisor.stats}
+
+
+def _run_durable(
+    host: Any,
+    kind: str,
+    items: list,
+    run_dir,
+    *,
+    mode: str,
+    fields: Sequence[str],
+    config_hash: str,
+    digest: str,
+    workers: int | str | None,
+    resume: bool,
+    segment_items: int,
+    config: SupervisorConfig | None,
+    fault_injector: FaultInjector | None,
+    drain_event: threading.Event | None,
+    start_method: str | None,
+) -> DurableRunResult:
+    """The durable drivers' body: plan, journal, run what is pending."""
+    workers = resolve_workers(workers)
+    segments = plan_segments(_item_costs(kind, items), segment_items)
+    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
+    journal.begin(
+        kind=kind,
+        config_hash=config_hash,
+        input_digest=digest,
+        num_items=len(items),
+        segments=[(segment.start, segment.stop) for segment in segments],
+    )
+    run_stats: dict = {"workers": workers, "supervised": False}
+    pending = set(journal.pending())
+    works = _segment_works(
+        host,
+        kind,
+        [segment for segment in segments if segment.index in pending],
+        items,
+        mode,
+        fields=fields,
+    )
+    if works:
+        run_stats = _run_segments(
+            journal,
+            works,
+            _broadcast_host(host, kind),
+            workers=workers,
+            config=config,
+            drain_event=drain_event,
+            start_method=start_method,
+        )
+    journal.mark_complete()
+    return DurableRunResult(
+        payloads=journal.rows(),
+        journal=journal,
+        stats={**journal.stats(), **run_stats},
+    )
 
 
 def run_durable_rows(
@@ -666,7 +492,7 @@ def run_durable_rows(
     texts: Sequence[str],
     run_dir,
     *,
-    workers: int = 1,
+    workers: int | str | None = 1,
     resume: bool = True,
     segment_items: int = DEFAULT_SEGMENT_ITEMS,
     on_error: str = "raise",
@@ -703,58 +529,27 @@ def run_durable_rows(
             fields = ("Label", "Score")
         else:
             fields = tuple(getattr(host.config, "fields", ()))
-    model = getattr(host, "model", None)
-    fingerprint = model.fingerprint() if model is not None else ""
-    segments = plan_segments(
-        [estimate_text_cost(text) for text in texts], segment_items
-    )
-    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
-    journal.begin(
-        kind=kind,
+    return _run_durable(
+        host,
+        kind,
+        texts,
+        run_dir,
+        mode=on_error,
+        fields=fields,
         config_hash=config_fingerprint(
             kind=kind,
-            fingerprint=fingerprint,
+            fingerprint=_model_fingerprint(host),
             fields=list(fields),
             on_error=on_error,
         ),
-        input_digest=input_digest(texts),
-        num_items=len(texts),
-        segments=[(segment.start, segment.stop) for segment in segments],
-    )
-    run_stats: dict = {"workers": workers, "supervised": False}
-    pending = set(journal.pending())
-    if pending:
-        base_specs, base_seed = _host_specs(host)
-        works = [
-            SegmentWork(
-                index=segment.index,
-                start=segment.start,
-                stop=segment.stop,
-                kind=kind,
-                items=tuple(texts[segment.start : segment.stop]),
-                mode=on_error,
-                fields=tuple(fields),
-                specs=base_specs,
-                seed=shard_seed(base_seed, segment.index),
-            )
-            for segment in segments
-            if segment.index in pending
-        ]
-        run_stats = _run_segments(
-            journal,
-            works,
-            host,
-            kind,
-            workers=workers,
-            config=config,
-            drain_event=drain_event,
-            start_method=start_method,
-        )
-    journal.mark_complete()
-    return DurableRunResult(
-        payloads=journal.rows(),
-        journal=journal,
-        stats={**journal.stats(), **run_stats},
+        digest=input_digest(texts),
+        workers=workers,
+        resume=resume,
+        segment_items=segment_items,
+        config=config,
+        fault_injector=fault_injector,
+        drain_event=drain_event,
+        start_method=start_method,
     )
 
 
@@ -763,7 +558,7 @@ def run_durable_reports(
     reports: Sequence[Any],
     run_dir,
     *,
-    workers: int = 1,
+    workers: int | str | None = 1,
     resume: bool = True,
     segment_items: int = 4,
     on_error: str | None = None,
@@ -791,61 +586,33 @@ def run_durable_reports(
             stage="pipeline",
         )
     reports = list(reports)
-    segments = plan_segments(
-        [estimate_report_cost(report) for report in reports], segment_items
-    )
-    journal = RunJournal(run_dir, resume=resume, fault_injector=fault_injector)
-    journal.begin(
-        kind=KIND_PIPELINE,
+    result = _run_durable(
+        pipeline,
+        KIND_PIPELINE,
+        reports,
+        run_dir,
+        mode=mode,
+        fields=(),
         config_hash=config_fingerprint(
             kind=KIND_PIPELINE,
             detector=_model_fingerprint(pipeline.detector),
             extractor=_model_fingerprint(pipeline.extractor),
             on_error=mode,
         ),
-        input_digest=_reports_digest(reports),
-        num_items=len(reports),
-        segments=[(segment.start, segment.stop) for segment in segments],
+        digest=_reports_digest(reports),
+        workers=workers,
+        resume=resume,
+        segment_items=segment_items,
+        config=config,
+        fault_injector=fault_injector,
+        drain_event=drain_event,
+        start_method=start_method,
     )
-    run_stats: dict = {"workers": workers, "supervised": False}
-    pending = set(journal.pending())
-    if pending:
-        base_specs, base_seed = _host_specs(pipeline)
-        works = [
-            SegmentWork(
-                index=segment.index,
-                start=segment.start,
-                stop=segment.stop,
-                kind=KIND_PIPELINE,
-                items=tuple(reports[segment.start : segment.stop]),
-                mode=mode,
-                fields=(),
-                specs=base_specs,
-                seed=shard_seed(base_seed, segment.index),
-            )
-            for segment in segments
-            if segment.index in pending
-        ]
-        run_stats = _run_segments(
-            journal,
-            works,
-            pipeline,
-            KIND_PIPELINE,
-            workers=workers,
-            config=config,
-            drain_event=drain_event,
-            start_method=start_method,
-        )
-    journal.mark_complete()
     pipeline.quarantine.extend(
         QuarantineEntry.from_dict(payload)
-        for payload in journal.quarantine_payloads()
+        for payload in result.journal.quarantine_payloads()
     )
-    return DurableRunResult(
-        payloads=journal.rows(),
-        journal=journal,
-        stats={**journal.stats(), **run_stats},
-    )
+    return result
 
 
 def _model_fingerprint(owner: Any) -> str:

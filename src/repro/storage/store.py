@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import os
 import shutil
 import sqlite3
 import time
@@ -474,12 +474,18 @@ def atomic_store_records(
 
     Returns the number of rows actually added.
     """
+    from repro.runtime.checkpoint import publish_file
     from repro.runtime.resilience import run_stage
 
     path = Path(path)
     if str(path) == ":memory:":
         raise ValueError("atomic writes need a file-backed store")
     tmp = path.with_name(path.name + ".tmp")
+    commit_check = (
+        functools.partial(fault_injector.check, "store_commit")
+        if fault_injector is not None
+        else None
+    )
 
     def attempt() -> int:
         if tmp.exists():
@@ -493,16 +499,7 @@ def atomic_store_records(
                     extractor_fingerprint=extractor_fingerprint,
                     dedupe=dedupe,
                 )
-            with open(tmp, "rb") as handle:
-                os.fsync(handle.fileno())
-            if fault_injector is not None:
-                fault_injector.check("store_commit")
-            os.replace(tmp, path)
-            # Durability of the rename itself, not just the file bytes:
-            # without the directory fsync a crash can roll back os.replace.
-            from repro.runtime.checkpoint import fsync_dir
-
-            fsync_dir(path.parent)
+            publish_file(tmp, path, before_replace=commit_check)
             return added
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -515,42 +512,3 @@ def atomic_store_records(
         injector=fault_injector,
         sleep=sleep,
     )
-
-
-def atomic_store_shards(
-    path: str | Path,
-    shards: Iterable,
-    *,
-    retry_policy=None,
-    fault_injector=None,
-    dedupe: bool = False,
-    extractor_fingerprint: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-) -> list[int]:
-    """Commit per-shard record batches, one atomic write per shard.
-
-    The durable companion to :mod:`repro.runtime.parallel`: each shard's
-    records land via :func:`atomic_store_records` (temp copy + fsync +
-    ``os.replace``), in shard order, so a crash mid-corpus leaves every
-    previously committed shard durable and the failing shard entirely
-    unapplied — never a torn batch. ``shards`` may hold plain record
-    sequences or :class:`~repro.runtime.parallel.ShardResult` objects
-    (their ``records`` are used).
-
-    Returns rows added per shard, in shard order.
-    """
-    counts: list[int] = []
-    for shard in shards:
-        records = getattr(shard, "records", shard)
-        counts.append(
-            atomic_store_records(
-                path,
-                records,
-                retry_policy=retry_policy,
-                fault_injector=fault_injector,
-                dedupe=dedupe,
-                extractor_fingerprint=extractor_fingerprint,
-                sleep=sleep,
-            )
-        )
-    return counts

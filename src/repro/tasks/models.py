@@ -40,14 +40,14 @@ from repro.models.text_classifier import (
     classification_rows,
 )
 from repro.models.training import FineTuneConfig
-from repro.runtime.errors import InputError, ReproError
+from repro.runtime.errors import InputError
 from repro.runtime.parallel import (
     classify_batch_parallel,
     extract_batch_parallel,
     resolve_workers,
 )
 from repro.goalspotter.pipeline import ON_ERROR_POLICIES
-from repro.runtime.resilience import RetryPolicy, run_stage
+from repro.runtime.resilience import RetryPolicy, resilient_rows
 from repro.tasks.base import KIND_CLASSIFICATION, KIND_EXTRACTION, Task
 from repro.tasks.weak import KeywordRule, weak_vote
 
@@ -139,32 +139,20 @@ class TaskModel(abc.ABC):
         texts = list(texts)
         if not texts:
             return []
-        policy = policy or RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
 
-        def batch() -> list[dict[str, str]]:
-            if resolve_workers(workers) > 1 and len(texts) > 1:
-                return self.run_batch_parallel(texts, workers=workers)
-            return self.run_batch(texts)
+        def batch(items: list[str]) -> list[dict[str, str]]:
+            if resolve_workers(workers) > 1 and len(items) > 1:
+                return self.run_batch_parallel(items, workers=workers)
+            return self.run_batch(items)
 
-        try:
-            rows = run_stage(batch, stage=self.kind, policy=policy)
-            return [(row, "ok") for row in rows]
-        except ReproError:
-            if on_error == "raise":
-                raise
-        results: list[tuple[dict[str, str], str]] = []
-        for text in texts:
-            try:
-                row = run_stage(
-                    lambda t=text: self.run_batch([t])[0],
-                    stage=self.kind,
-                    policy=policy,
-                )
-                results.append((row, "ok"))
-            except ReproError:
-                status = "skipped" if on_error == "skip" else "degraded"
-                results.append((self.empty_row(), status))
-        return results
+        return resilient_rows(
+            batch,
+            texts,
+            on_error=on_error,
+            fields=self.fields,
+            stage=self.kind,
+            policy=policy,
+        )
 
     # -- durable runs ------------------------------------------------------
 
@@ -173,7 +161,7 @@ class TaskModel(abc.ABC):
         texts: Sequence[str],
         run_dir,
         *,
-        workers: int = 1,
+        workers: int | str | None = 1,
         resume: bool = True,
         segment_items: int | None = None,
         on_error: str = "raise",
@@ -206,7 +194,7 @@ class TaskModel(abc.ABC):
             self.kind,
             list(texts),
             run_dir,
-            workers=resolve_workers(workers),
+            workers=workers,
             resume=resume,
             segment_items=segment_items or DEFAULT_SEGMENT_ITEMS,
             on_error=on_error,

@@ -7,6 +7,7 @@ and under ``workers=2``, across registered tasks of both kinds.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +19,9 @@ import pytest
 
 from repro.core.base import DetailExtractor
 from repro.datasets.reports import Page, SustainabilityReport, TextBlock
-from repro.goalspotter.pipeline import GoalSpotter
+from repro.goalspotter.pipeline import GoalSpotter, record_to_payload
 from repro.runtime.errors import ReproError
+from repro.runtime.parallel import process_reports_parallel
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.runtime.supervisor import run_durable_reports, run_durable_rows
 from repro.tasks import get_task
@@ -231,12 +233,14 @@ class TestPipelineDurable:
         plain = GoalSpotter(StubDetector(), StubExtractor()).process_reports(
             corpus
         )
-        pipeline = GoalSpotter(StubDetector(), StubExtractor())
-        durable = pipeline.process_reports_durable(
-            corpus, tmp_path / "run", segment_items=2
-        )
-        assert durable == plain
-        assert pipeline.last_run_stats["durable"]["complete"] is True
+        for workers in (1, "auto"):
+            pipeline = GoalSpotter(StubDetector(), StubExtractor())
+            durable = pipeline.process_reports_durable(
+                corpus, tmp_path / f"run-{workers}", segment_items=2,
+                workers=workers,
+            )
+            assert durable == plain
+            assert pipeline.last_run_stats["durable"]["complete"] is True
 
     def test_quarantine_survives_restart_and_is_not_retried(self, tmp_path):
         corpus = _reports(6, poisoned={2})
@@ -266,6 +270,51 @@ class TestPipelineDurable:
             (r.company, r.report_id, r.page, r.objective, r.details, r.score)
             for r in records
         ]
+
+    @pytest.mark.chaos
+    def test_parallel_and_durable_paths_agree_under_faults(self, tmp_path):
+        # plan_segments(costs, k) is plan_shards(costs, ceil(n / k)): both
+        # paths cut the same segments and seed the same per-segment faults.
+        corpus = _reports(7)
+        segment_items = 2
+
+        def pipeline():
+            return GoalSpotter(
+                StubDetector(),
+                StubExtractor(),
+                on_error="degrade",
+                fault_injector=FaultInjector(
+                    [
+                        FaultSpec(stage="extract", error="model", rate=0.5),
+                        FaultSpec(stage="detect", error="numerical", rate=0.5),
+                    ],
+                    seed=1,
+                ),
+            )
+
+        for workers in (1, 2):
+            parallel_host = pipeline()
+            parallel = process_reports_parallel(
+                parallel_host,
+                corpus,
+                workers=workers,
+                num_shards=math.ceil(len(corpus) / segment_items),
+            )
+            durable_host = pipeline()
+            durable = durable_host.process_reports_durable(
+                corpus,
+                tmp_path / f"run-{workers}",
+                workers=workers,
+                segment_items=segment_items,
+            )
+            assert any(record.status != "ok" for record in parallel)
+            assert len(parallel_host.quarantine) > 0
+            assert json.dumps(
+                [record_to_payload(record) for record in durable]
+            ) == json.dumps([record_to_payload(record) for record in parallel])
+            assert json.dumps(durable_host.quarantine.as_dicts()) == (
+                json.dumps(parallel_host.quarantine.as_dicts())
+            )
 
     @pytest.mark.chaos
     def test_pipeline_kill_and_resume_bitwise(self, tmp_path):

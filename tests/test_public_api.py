@@ -21,8 +21,6 @@ import repro
 EXPECTED_RUNTIME_PARALLEL_EXPORTS = (
     "PipelineBroadcast",
     "Shard",
-    "ShardResult",
-    "ShardTask",
     "WorkerPool",
     "broadcast_classifier",
     "broadcast_extractor",
@@ -36,7 +34,6 @@ EXPECTED_RUNTIME_PARALLEL_EXPORTS = (
     "process_reports_parallel",
     "resolve_workers",
     "restore_pipeline",
-    "run_shard",
     "shard_seed",
 )
 
